@@ -43,10 +43,11 @@ struct QueryOptions {
   exec::ExecMode execution_mode = exec::ExecMode::kBatch;
   /// Compile bound predicates, projections and aggregate arguments into
   /// flat type-specialized programs on the vectorized paths (batch and
-  /// parallel modes), falling back to the interpreter per expression for
-  /// shapes the compiler does not cover (CASE, correlated columns, ...).
-  /// Results are byte-identical either way — the interpreter stays the
-  /// parity oracle; disable to force interpretation everywhere.
+  /// parallel modes), falling back per expression to the scalar
+  /// interpreter, looped over each batch's live rows, for shapes the
+  /// compiler does not cover (CASE, correlated columns, ...). Results are
+  /// byte-identical either way — the scalar interpreter is the parity
+  /// oracle; disable to run it for every expression.
   /// Plan-affecting (compiled programs are cached on the physical plan).
   bool compile_expressions = true;
   /// Rows per batch on the vectorized path.

@@ -62,13 +62,13 @@ Status ResourceGovernor::ChargeMaterialized(uint64_t rows, uint64_t bytes) {
   bool over_rows = max_rows_ > 0 && total_rows > max_rows_;
   bool over_bytes = max_bytes_ > 0 && total_bytes > max_bytes_;
   if (!over_rows && !over_bytes) {
-    // A sibling worker may have tripped already; keep failing so every
-    // thread of the query unwinds, not just the one that crossed the line.
-    if (tripped_.load(std::memory_order_relaxed)) {
-      if (pool_tripped_.load(std::memory_order_relaxed)) {
-        return Status::Unavailable("shared resource budget saturated");
-      }
-      return Status::ResourceExhausted("resource budget exceeded");
+    // The running totals only grow, so once any charge crosses a local
+    // budget every charge ordered after it fails on its own total; a
+    // charge ordered before it was within budget and succeeds even if the
+    // trip is already visible. Pool reservations roll back, so a pool trip
+    // needs the sticky flag to make every thread of the query unwind.
+    if (pool_tripped_.load(std::memory_order_relaxed)) {
+      return Status::Unavailable("shared resource budget saturated");
     }
     if (pool_ != nullptr) {
       Status pooled = pool_->TryReserve(rows, bytes);

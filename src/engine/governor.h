@@ -123,9 +123,9 @@ class SharedResourcePool {
 /// of that query ticks and charges the same instance concurrently. Counters
 /// are relaxed atomics (accounting needs no ordering, only eventual sums);
 /// a budget trip is recorded exactly once via a compare-and-swap on
-/// `tripped_`, and every charge after the trip keeps failing — sticky — so
-/// each worker unwinds with the same clean error regardless of which one
-/// crossed the budget.
+/// `tripped_`, and every charge ordered after the crossing one keeps
+/// failing — sticky — so each worker unwinds with the same error code
+/// regardless of which one crossed the budget.
 class ResourceGovernor {
  public:
   ResourceGovernor() : ResourceGovernor(GovernorOptions{}) {}

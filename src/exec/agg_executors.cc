@@ -77,7 +77,7 @@ class HashAggregateExec : public AggregateExecBase {
     // Preserve first-seen group order for deterministic output.
     std::vector<const Row*> order;
     order.reserve(ReserveHint(plan_->est_rows));
-    if (ctx_->mode != ExecMode::kRow && ctx_->compile_expressions) {
+    if (ctx_->mode != ExecMode::kRow) {
       // Vectorized drain: aggregate arguments evaluate whole batches at a
       // time (compiled when possible), and keys gather straight from the
       // batch columns — no per-input-row Row materialization.
@@ -125,32 +125,25 @@ class HashAggregateExec : public AggregateExecBase {
   bool BatchDrain(std::unordered_map<Row, Group, RowHash, RowEq>* groups,
                   std::vector<const Row*>* order) {
     const size_t na = plan_->aggs.size();
-    std::vector<std::shared_ptr<const expr::ExprProgram>> progs(na);
+    std::vector<expr::BatchExpr> args(na);
     const expr::CompileEnv env = expr::MakeCompileEnv(
         child_->colmap(), plan_->children[0]->output_cols);
     for (size_t i = 0; i < na; ++i) {
       const plan::AggItem& item = plan_->aggs[i];
       if (item.func == AggFunc::kCountStar || item.arg == nullptr) continue;
-      progs[i] = expr::ResolveProgram(
-          plan_, expr::kSlotAggBase + static_cast<int>(i), item.arg.get(),
-          env, /*as_predicate=*/false, ctx_);
-      RecordExprMode(progs[i] != nullptr);
+      RecordExprMode(args[i].Bind(
+          plan_, expr::kSlotAggBase + static_cast<int>(i), item.arg, env,
+          /*as_predicate=*/false, ctx_));
     }
-    expr::ExprExecState state;
     RowBatch b;
     std::vector<std::vector<Value>> argv(na);
-    BatchEvalContext bev{&child_->colmap(), &b, &ctx_->params};
     while (!ctx_->Failed() && child_->NextBatch(&b)) {
       const size_t n = b.ActiveSize();
       if (n == 0) continue;
       for (size_t i = 0; i < na; ++i) {
         const plan::AggItem& item = plan_->aggs[i];
         if (item.func == AggFunc::kCountStar || item.arg == nullptr) continue;
-        if (progs[i] != nullptr) {
-          progs[i]->EvalColumn(b, &state, &argv[i]);
-        } else {
-          EvalExprBatch(*item.arg, bev, &argv[i]);
-        }
+        args[i].EvalColumn(b, &argv[i]);
       }
       for (size_t k = 0; k < n; ++k) {
         const uint32_t r = b.ActiveIndex(k);

@@ -163,14 +163,7 @@ class BatchScanExec : public BatchExecutor {
       }
     }
     if (!ctx_->GovernorTick(pos_ - batch_start)) return false;
-    if (residual_) {
-      if (residual_prog_ != nullptr) {
-        residual_prog_->FilterBatch(out, &expr_state_);
-      } else {
-        BatchEvalContext bev{&colmap_, out, &ctx_->params};
-        EvalPredicateBatch(residual_, bev, out);
-      }
-    }
+    residual_expr_.Filter(out);
     return true;
   }
 
@@ -237,13 +230,11 @@ class BatchScanExec : public BatchExecutor {
     // The FastPred split is deterministic per plan node, so the compiled
     // residual can be cached on the node and shared by every executor
     // instance (including morsel-parallel workers).
-    residual_prog_ = nullptr;
     if (residual_) {
-      residual_prog_ = expr::ResolveProgram(
-          plan_, expr::kSlotPredicate, residual_.get(),
+      RecordExprMode(residual_expr_.Bind(
+          plan_, expr::kSlotPredicate, residual_,
           expr::MakeCompileEnv(colmap_, plan_->output_cols),
-          /*as_predicate=*/true, ctx_);
-      RecordExprMode(residual_prog_ != nullptr);
+          /*as_predicate=*/true, ctx_));
     }
     if (plan_->kind == PhysOpKind::kIndexScan) {
       QOPT_FAULT_POINT_CTX("storage.index.lookup", ctx_, );
@@ -324,8 +315,7 @@ class BatchScanExec : public BatchExecutor {
   std::vector<uint32_t> row_ids_;
   std::vector<FastPred> fast_preds_;
   plan::BExpr residual_;
-  std::shared_ptr<const expr::ExprProgram> residual_prog_;
-  expr::ExprExecState expr_state_;
+  expr::BatchExpr residual_expr_;
   bool use_ids_ = false;
   size_t pos_ = 0;
   size_t limit_ = 0;  ///< Exclusive end of the current sequential range.
@@ -345,32 +335,24 @@ class BatchFilterExec : public BatchExecutor {
 
   bool NextBatchImpl(RowBatch* out) override {
     if (!child_->NextBatch(out)) return false;
-    if (prog_ != nullptr) {
-      prog_->FilterBatch(out, &expr_state_);
-    } else {
-      BatchEvalContext bev{&colmap_, out, &ctx_->params};
-      EvalPredicateBatch(plan_->predicate, bev, out);
-    }
+    pred_.Filter(out);
     return true;
   }
 
  protected:
   void InitBatch() override {
     child_->Init();
-    prog_ = nullptr;
     if (plan_->predicate) {
-      prog_ = expr::ResolveProgram(
-          plan_, expr::kSlotPredicate, plan_->predicate.get(),
+      RecordExprMode(pred_.Bind(
+          plan_, expr::kSlotPredicate, plan_->predicate,
           expr::MakeCompileEnv(colmap_, plan_->output_cols),
-          /*as_predicate=*/true, ctx_);
-      RecordExprMode(prog_ != nullptr);
+          /*as_predicate=*/true, ctx_));
     }
   }
 
  private:
   std::unique_ptr<Executor> child_;
-  std::shared_ptr<const expr::ExprProgram> prog_;
-  expr::ExprExecState expr_state_;
+  expr::BatchExpr pred_;
 };
 
 /// Vectorized projection: evaluates each output expression over the whole
@@ -391,18 +373,13 @@ class BatchProjectExec : public BatchExecutor {
     // input column instead of gathering a copy — precomputed in InitBatch.
     bool identity = n == in_.num_rows();
     out->Reset(plan_->proj_exprs.size(), n);
-    BatchEvalContext bev{&child_->colmap(), &in_, &ctx_->params};
     std::vector<Value> col;
     for (size_t c = 0; c < plan_->proj_exprs.size(); ++c) {
       if (identity && move_src_[c] >= 0) {
         out->AdoptColumn(c, std::move(in_.column(move_src_[c])));
         continue;
       }
-      if (progs_[c] != nullptr) {
-        progs_[c]->EvalColumn(in_, &expr_state_, &col);
-      } else {
-        EvalExprBatch(*plan_->proj_exprs[c], bev, &col);
-      }
+      exprs_[c].EvalColumn(in_, &col);
       out->AdoptColumn(c, std::move(col));
       col.clear();
     }
@@ -430,17 +407,16 @@ class BatchProjectExec : public BatchExecutor {
       auto it = child_->colmap().find(e->column);
       if (it != child_->colmap().end()) move_src_[c] = it->second;
     }
-    // One program per output expression, evaluated against the child's
-    // column layout. Pure-move columns still compile: non-identity input
+    // One expression per output column, evaluated against the child's
+    // column layout. Pure-move columns still bind: non-identity input
     // batches take the evaluation path.
-    progs_.assign(plan_->proj_exprs.size(), nullptr);
+    exprs_.resize(plan_->proj_exprs.size());
     const expr::CompileEnv env = expr::MakeCompileEnv(
         child_->colmap(), plan_->children[0]->output_cols);
     for (size_t c = 0; c < plan_->proj_exprs.size(); ++c) {
-      progs_[c] = expr::ResolveProgram(
+      RecordExprMode(exprs_[c].Bind(
           plan_, expr::kSlotProjBase + static_cast<int>(c),
-          plan_->proj_exprs[c].get(), env, /*as_predicate=*/false, ctx_);
-      RecordExprMode(progs_[c] != nullptr);
+          plan_->proj_exprs[c], env, /*as_predicate=*/false, ctx_));
     }
   }
 
@@ -448,8 +424,7 @@ class BatchProjectExec : public BatchExecutor {
   std::unique_ptr<Executor> child_;
   RowBatch in_;
   std::vector<int> move_src_;
-  std::vector<std::shared_ptr<const expr::ExprProgram>> progs_;
-  expr::ExprExecState expr_state_;
+  std::vector<expr::BatchExpr> exprs_;
 };
 
 /// Vectorized hash join: builds on the right input (batch-drained), probes
@@ -513,7 +488,6 @@ class BatchHashJoinExec : public BatchExecutor {
     auto lit = left_->colmap().find(plan_->left_key);
     QOPT_DCHECK(lit != left_->colmap().end());
     lk_ = lit->second;
-    residual_prog_ = nullptr;
     if (plan_->predicate) {
       expr::CompileEnv env;
       env.colmap = &combined_map_;
@@ -523,10 +497,9 @@ class BatchHashJoinExec : public BatchExecutor {
       for (const auto& c : plan_->children[1]->output_cols) {
         env.col_types.push_back(c.type);
       }
-      residual_prog_ = expr::ResolveProgram(
-          plan_, expr::kSlotJoinResidual, plan_->predicate.get(), env,
-          /*as_predicate=*/true, ctx_);
-      RecordExprMode(residual_prog_ != nullptr);
+      RecordExprMode(residual_.Bind(plan_, expr::kSlotJoinResidual,
+                                    plan_->predicate, env,
+                                    /*as_predicate=*/true, ctx_));
     }
     if (right_ == nullptr) return;  // probe-only: shared state is ready
     right_->Init();
@@ -591,18 +564,14 @@ class BatchHashJoinExec : public BatchExecutor {
     }
     matches_.clear();
     if (!key.is_null()) {
-      if (plan_->predicate && residual_prog_ != nullptr) {
-        // Vectorized residual: gather the candidate matches into a scratch
-        // batch (only the columns the program reads) and filter them in
-        // one program run instead of one tree-walk per match.
+      if (plan_->predicate) {
+        // Gather the candidate matches into a scratch batch (only the
+        // columns the residual reads) and filter them in one call.
         candidates_.clear();
         state_->ForEachMatch(key, [&](size_t b) { candidates_.push_back(b); });
         FilterCandidates(prow);
       } else {
-        state_->ForEachMatch(key, [&](size_t b) {
-          if (plan_->predicate && !ResidualPass(prow, b)) return;
-          matches_.push_back(b);
-        });
+        state_->ForEachMatch(key, [&](size_t b) { matches_.push_back(b); });
       }
     }
     switch (plan_->join_type) {
@@ -626,13 +595,13 @@ class BatchHashJoinExec : public BatchExecutor {
     }
   }
 
-  /// Runs the compiled residual over `candidates_`, appending survivors to
-  /// `matches_` (in candidate order, matching the interpreted path).
+  /// Runs the residual over `candidates_`, appending survivors to
+  /// `matches_` in candidate order.
   void FilterCandidates(uint32_t prow) {
     const size_t m = candidates_.size();
     if (m == 0) return;
     scratch_.Reset(left_width_ + right_width_, m);
-    for (int pos : residual_prog_->referenced_cols()) {
+    for (int pos : residual_.referenced_cols()) {
       std::vector<Value>& col = scratch_.column(static_cast<size_t>(pos));
       col.resize(m);
       if (static_cast<size_t>(pos) < left_width_) {
@@ -646,23 +615,10 @@ class BatchHashJoinExec : public BatchExecutor {
       }
     }
     scratch_.SetIdentitySelection(m);
-    residual_prog_->FilterBatch(&scratch_, &expr_state_);
+    residual_.Filter(&scratch_);
     for (uint32_t k : scratch_.selection()) {
       matches_.push_back(candidates_[k]);
     }
-  }
-
-  bool ResidualPass(uint32_t prow, size_t bidx) {
-    combined_.clear();
-    combined_.reserve(left_width_ + right_width_);
-    for (size_t c = 0; c < left_width_; ++c) {
-      combined_.push_back(probe_.At(c, prow));
-    }
-    for (size_t c = 0; c < right_width_; ++c) {
-      combined_.push_back(state_->build_cols[c][bidx]);
-    }
-    EvalContext ev{&combined_map_, &combined_, &ctx_->params};
-    return EvalPredicate(plan_->predicate, ev);
   }
 
   void AppendCombined(uint32_t prow, size_t bidx, RowBatch* out) {
@@ -706,11 +662,9 @@ class BatchHashJoinExec : public BatchExecutor {
   RowBatch probe_;
   size_t probe_pos_ = 0;
   bool done_ = false;
-  Row combined_;
-  std::shared_ptr<const expr::ExprProgram> residual_prog_;
+  expr::BatchExpr residual_;
   std::vector<size_t> candidates_;
   RowBatch scratch_;
-  expr::ExprExecState expr_state_;
 };
 
 }  // namespace

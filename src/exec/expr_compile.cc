@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <set>
 #include <unordered_map>
 #include <utility>
 
@@ -1114,6 +1115,15 @@ void ExprProgram::EvalColumn(const RowBatch& batch, ExprExecState* state,
   }
 }
 
+namespace {
+
+/// Resolves the compiled program for (`node`, `slot`) through the node's
+/// PlanExprCache, compiling on first use. Returns null — meaning "use the
+/// scalar interpreter" — when compilation is disabled in `ctx`, the
+/// expression is null, or the shape is uncovered. Bumps the
+/// expr.compiled/expr.fallback counters and records compile time in the
+/// expr.compile_ns histogram (first compile only) when `ctx` carries metric
+/// handles.
 std::shared_ptr<const ExprProgram> ResolveProgram(const PhysicalPlan* node,
                                                   int slot,
                                                   const plan::BoundExpr* e,
@@ -1147,6 +1157,67 @@ std::shared_ptr<const ExprProgram> ResolveProgram(const PhysicalPlan* node,
     ctx->expr_fallback_metric->Add(1);
   }
   return entry->program;
+}
+
+}  // namespace
+
+bool BatchExpr::Bind(const PhysicalPlan* node, int slot,
+                     const plan::BExpr& e, const CompileEnv& env,
+                     bool as_predicate, ExecContext* ctx) {
+  expr_ = e;
+  colmap_ = env.colmap;
+  params_ = &ctx->params;
+  prog_ = ResolveProgram(node, slot, e.get(), env, as_predicate, ctx);
+  cols_.clear();
+  if (prog_ == nullptr && e != nullptr) {
+    std::set<ColumnId> ids;
+    plan::CollectColumns(e, &ids);
+    for (ColumnId id : ids) {
+      auto it = colmap_->find(id);
+      if (it != colmap_->end()) cols_.push_back(it->second);
+    }
+    std::sort(cols_.begin(), cols_.end());
+  }
+  return prog_ != nullptr;
+}
+
+const std::vector<int>& BatchExpr::referenced_cols() const {
+  return prog_ != nullptr ? prog_->referenced_cols() : cols_;
+}
+
+void BatchExpr::LoadRow(const RowBatch& batch, uint32_t r) {
+  if (row_.size() < batch.num_cols()) row_.resize(batch.num_cols());
+  for (int pos : cols_) row_[pos] = batch.At(static_cast<size_t>(pos), r);
+}
+
+void BatchExpr::Filter(RowBatch* batch) {
+  if (prog_ != nullptr) {
+    prog_->FilterBatch(batch, &state_);
+    return;
+  }
+  if (expr_ == nullptr) return;
+  const EvalContext ev{colmap_, &row_, params_};
+  std::vector<uint32_t>& sel = *batch->mutable_selection();
+  size_t kept = 0;
+  for (uint32_t r : sel) {
+    LoadRow(*batch, r);
+    if (EvalPredicate(expr_, ev)) sel[kept++] = r;
+  }
+  sel.resize(kept);
+}
+
+void BatchExpr::EvalColumn(const RowBatch& batch, std::vector<Value>* out) {
+  if (prog_ != nullptr) {
+    prog_->EvalColumn(batch, &state_, out);
+    return;
+  }
+  const EvalContext ev{colmap_, &row_, params_};
+  out->clear();
+  out->reserve(batch.ActiveSize());
+  for (uint32_t r : batch.selection()) {
+    LoadRow(batch, r);
+    out->push_back(EvalExpr(*expr_, ev));
+  }
 }
 
 }  // namespace qopt::exec::expr

@@ -5,15 +5,17 @@
 // holds one column vector (int64 / double / string-ref / three-valued
 // boolean) plus a null mask. Executing a program runs one monomorphic loop
 // per instruction over the batch's live rows — no per-row tag dispatch and
-// no per-row Value allocation, the two costs that dominate the interpreted
-// EvalExprBatch path. Literal-only operands are folded to immediates at
+// no per-row Value allocation, the two costs that dominate looping the
+// scalar interpreter. Literal-only operands are folded to immediates at
 // compile time.
 //
 // The compiler intentionally does not cover every expression shape (see
 // docs/EXPRESSIONS.md for the exact rules); Compile returns null for
-// uncovered shapes and callers fall back to the interpreter, which remains
-// the semantics oracle. Compiled and interpreted evaluation are
-// byte-identical by construction and by the P6 parity property.
+// uncovered shapes. BatchExpr is the single entry point the vectorized
+// operators use: it runs the compiled program when there is one and loops
+// the scalar interpreter (EvalExpr / EvalPredicate, the semantics oracle)
+// over the live rows otherwise. The two evaluators are byte-identical by
+// construction and by the P6 parity property.
 #ifndef QOPT_EXEC_EXPR_COMPILE_H_
 #define QOPT_EXEC_EXPR_COMPILE_H_
 
@@ -140,11 +142,12 @@ class ExprProgram {
 
   /// Refines `batch`'s selection vector in place, keeping exactly the live
   /// rows where the (predicate) program evaluates to TRUE. Matches
-  /// EvalPredicateBatch byte-for-byte.
+  /// EvalPredicate on each live row.
   void FilterBatch(RowBatch* batch, ExprExecState* state) const;
 
   /// Evaluates the program once per live row into `out` (one Value per
-  /// live row, indexed by active position). Matches EvalExprBatch.
+  /// live row, indexed by active position). Matches EvalExpr on each live
+  /// row.
   void EvalColumn(const RowBatch& batch, ExprExecState* state,
                   std::vector<Value>* out) const;
 
@@ -179,18 +182,48 @@ class ExprProgram {
   std::vector<int> referenced_cols_;
 };
 
-/// Resolves the compiled program for (`node`, `slot`) through the node's
-/// PlanExprCache, compiling on first use. Returns null — meaning "use the
-/// interpreter" — when compilation is disabled in `ctx`, the expression is
-/// null, or the shape is uncovered. Bumps the expr.compiled/expr.fallback
-/// counters and records compile time in the expr.compile_ns histogram
-/// (first compile only) when `ctx` carries metric handles.
-std::shared_ptr<const ExprProgram> ResolveProgram(const PhysicalPlan* node,
-                                                  int slot,
-                                                  const plan::BoundExpr* e,
-                                                  const CompileEnv& env,
-                                                  bool as_predicate,
-                                                  ExecContext* ctx);
+/// One expression slot of a vectorized operator, evaluated a batch at a
+/// time. Bind() resolves the slot's compiled program through the plan
+/// node's PlanExprCache, compiling on first use. When there is none —
+/// compilation is off or the shape is uncovered — Filter() and EvalColumn()
+/// loop the scalar interpreter over the live rows instead, through a reused
+/// scratch Row. This is the only place that chooses between the two
+/// evaluators. Copies share the immutable program; parallel workers each
+/// evaluate through their own copy, taken before first use.
+class BatchExpr {
+ public:
+  /// Binds `e` for batches laid out as `env` describes; correlated columns
+  /// not in `env.colmap` read `ctx->params`. Returns true when the slot runs
+  /// a compiled program, for Executor::RecordExprMode.
+  bool Bind(const PhysicalPlan* node, int slot, const plan::BExpr& e,
+            const CompileEnv& env, bool as_predicate, ExecContext* ctx);
+
+  /// Refines `batch`'s selection vector in place, keeping exactly the live
+  /// rows where the predicate is TRUE (NULL and FALSE both reject). An
+  /// unbound or null expression keeps every row.
+  void Filter(RowBatch* batch);
+
+  /// Evaluates the expression once per live row of `batch` into `out` (one
+  /// Value per live row, indexed by active position).
+  void EvalColumn(const RowBatch& batch, std::vector<Value>* out);
+
+  /// Input column positions the expression reads, sorted and deduplicated.
+  /// Callers that stage rows into a scratch batch (hash-join residuals)
+  /// only need to populate these columns.
+  const std::vector<int>& referenced_cols() const;
+
+ private:
+  /// Copies the referenced columns of physical row `r` into `row_`.
+  void LoadRow(const RowBatch& batch, uint32_t r);
+
+  std::shared_ptr<const ExprProgram> prog_;
+  plan::BExpr expr_;
+  const ColMap* colmap_ = nullptr;
+  const ParamMap* params_ = nullptr;
+  std::vector<int> cols_;  ///< referenced_cols() of the interpreted form.
+  ExprExecState state_;
+  Row row_;
+};
 
 }  // namespace qopt::exec::expr
 

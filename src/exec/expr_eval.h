@@ -1,10 +1,10 @@
 // Runtime expression evaluation with SQL three-valued logic.
 //
-// Two entry points: the scalar evaluator (EvalExpr / EvalPredicate) used by
-// the row-at-a-time Volcano operators, and the batch evaluator
-// (EvalExprBatch / EvalPredicateBatch) used by the vectorized operators,
-// which evaluates an expression over every live row of a RowBatch in one
-// call. Both implement identical SQL semantics.
+// The scalar interpreter (EvalExpr / EvalPredicate) is the semantics
+// oracle. The row-at-a-time Volcano operators call it directly; the
+// vectorized operators reach it through expr::BatchExpr
+// (exec/expr_compile.h), which runs a compiled program when the expression
+// has one and loops this interpreter over the batch's live rows otherwise.
 #ifndef QOPT_EXEC_EXPR_EVAL_H_
 #define QOPT_EXEC_EXPR_EVAL_H_
 
@@ -13,7 +13,6 @@
 
 #include "common/column_id.h"
 #include "common/value.h"
-#include "exec/row_batch.h"
 #include "plan/expr.h"
 
 namespace qopt::exec {
@@ -45,8 +44,8 @@ bool EvalPredicate(const plan::BExpr& pred, const EvalContext& ctx);
 /// everything else runs the general backtracking matcher.
 bool LikeMatch(const std::string& text, const std::string& pattern);
 
-/// A LIKE pattern classified once so repeated matching (batch loops,
-/// compiled programs) can use direct string comparisons instead of the
+/// A LIKE pattern classified once so repeated matching (compiled
+/// programs) can use direct string comparisons instead of the
 /// general wildcard matcher. Patterns containing '_' or more '%' structure
 /// than prefix/suffix/contains stay generic.
 struct LikePattern {
@@ -68,26 +67,6 @@ LikePattern CompileLikePattern(const std::string& pattern);
 
 /// Matches `text` against a pre-classified pattern.
 bool LikeMatch(const std::string& text, const LikePattern& pattern);
-
-/// Batch evaluation context: an input batch with its column map, plus
-/// optional correlated parameters (consulted when a column is not mapped).
-struct BatchEvalContext {
-  const ColMap* colmap = nullptr;
-  const RowBatch* batch = nullptr;
-  const ParamMap* params = nullptr;
-};
-
-/// Evaluates `e` once per live row of `ctx.batch`; on return `out` holds
-/// one Value per live row (indexed by active position, not physical row).
-/// Semantics match EvalExpr exactly.
-void EvalExprBatch(const plan::BoundExpr& e, const BatchEvalContext& ctx,
-                   std::vector<Value>* out);
-
-/// Refines `batch`'s selection vector in place, keeping exactly the live
-/// rows for which `pred` evaluates to TRUE (NULL and FALSE both reject).
-/// `ctx.batch` must point at `batch`. A null `pred` keeps every row.
-void EvalPredicateBatch(const plan::BExpr& pred, const BatchEvalContext& ctx,
-                        RowBatch* batch);
 
 }  // namespace qopt::exec
 

@@ -400,24 +400,22 @@ class ParallelGatherExec : public Executor {
       key_pos.push_back(KeyPos(pipeline_root_, id));
     }
     const size_t na = plan_->aggs.size();
-    // Aggregate-argument programs are resolved once here (the node cache
-    // makes this a lookup for every worker anyway) so the compile time and
-    // compiled/fallback counts are charged exactly once per query; workers
-    // share the immutable programs and keep private ExprExecState scratch.
-    std::vector<std::shared_ptr<const expr::ExprProgram>> progs(na);
-    if (ctx_->compile_expressions) {
-      const expr::CompileEnv env =
-          expr::MakeCompileEnv(child_map, pipeline_root_->output_cols);
-      for (size_t i = 0; i < na; ++i) {
-        const plan::AggItem& item = plan_->aggs[i];
-        if (item.func == ast::AggFunc::kCountStar || item.arg == nullptr) {
-          continue;
-        }
-        progs[i] = expr::ResolveProgram(
-            plan_, expr::kSlotAggBase + static_cast<int>(i), item.arg.get(),
-            env, /*as_predicate=*/false, ctx_);
-        RecordExprMode(progs[i] != nullptr);
+    // Aggregate arguments are bound once here (the node cache makes this a
+    // lookup for every worker anyway) so the compile time and
+    // compiled/fallback counts are charged exactly once per query; each
+    // worker evaluates through its own copy, sharing the immutable programs
+    // but not the scratch state.
+    std::vector<expr::BatchExpr> args(na);
+    const expr::CompileEnv env =
+        expr::MakeCompileEnv(child_map, pipeline_root_->output_cols);
+    for (size_t i = 0; i < na; ++i) {
+      const plan::AggItem& item = plan_->aggs[i];
+      if (item.func == ast::AggFunc::kCountStar || item.arg == nullptr) {
+        continue;
       }
+      RecordExprMode(args[i].Bind(
+          plan_, expr::kSlotAggBase + static_cast<int>(i), item.arg, env,
+          /*as_predicate=*/false, ctx_));
     }
     std::vector<Partial> partials(dop_);
     RunPhase([&](size_t w) {
@@ -428,90 +426,50 @@ class ParallelGatherExec : public Executor {
       part.groups.reserve(ReserveHint(plan_->est_rows));
       std::unique_ptr<Executor> tree = BuildWorkerTree(pipeline_root_, wc);
       tree->Init();
+      // Vectorized drain: arguments evaluate whole batches at a time and
+      // keys gather straight from the batch columns — no per-row Row
+      // materialization (mirrors the serial HashAggregate batch drain).
+      std::vector<expr::BatchExpr> wargs = args;
+      std::vector<std::vector<Value>> argv(na);
       RowBatch b;
-      if (ctx_->compile_expressions) {
-        // Vectorized drain: arguments evaluate whole batches at a time and
-        // keys gather straight from the batch columns — no per-row Row
-        // materialization (mirrors the serial HashAggregate batch drain).
-        expr::ExprExecState state;
-        std::vector<std::vector<Value>> argv(na);
-        BatchEvalContext bev{&child_map, &b, &wc->params};
-        while (!wc->Failed() && tree->NextBatch(&b)) {
-          const size_t n = b.ActiveSize();
-          if (n == 0) continue;
+      while (!wc->Failed() && tree->NextBatch(&b)) {
+        const size_t n = b.ActiveSize();
+        if (n == 0) continue;
+        for (size_t i = 0; i < na; ++i) {
+          const plan::AggItem& item = plan_->aggs[i];
+          if (item.func == ast::AggFunc::kCountStar || item.arg == nullptr) {
+            continue;
+          }
+          wargs[i].EvalColumn(b, &argv[i]);
+        }
+        bool charged_out = false;
+        for (size_t k = 0; k < n; ++k) {
+          const uint32_t r = b.ActiveIndex(k);
+          Row key;
+          key.reserve(key_pos.size());
+          for (int p : key_pos) key.push_back(b.At(p, r));
+          auto [it, inserted] =
+              part.groups.emplace(std::move(key), NewGroup(plan_->aggs));
+          if (inserted) {
+            // Same per-group charge as the serial hash aggregate; workers
+            // sharing a group each charge their partial — the budget
+            // bounds real memory, which partials really occupy.
+            if (!wc->GovernorCharge(1, ModeledRowBytes(it->first) + 48 * na)) {
+              charged_out = true;
+              break;
+            }
+            part.order.push_back(&it->first);
+          }
           for (size_t i = 0; i < na; ++i) {
-            const plan::AggItem& item = plan_->aggs[i];
-            if (item.func == ast::AggFunc::kCountStar ||
-                item.arg == nullptr) {
-              continue;
-            }
-            if (progs[i] != nullptr) {
-              progs[i]->EvalColumn(b, &state, &argv[i]);
+            if (plan_->aggs[i].func == ast::AggFunc::kCountStar ||
+                plan_->aggs[i].arg == nullptr) {
+              it->second.accs[i].Accumulate(Value::Null());
             } else {
-              EvalExprBatch(*item.arg, bev, &argv[i]);
-            }
-          }
-          bool charged_out = false;
-          for (size_t k = 0; k < n; ++k) {
-            const uint32_t r = b.ActiveIndex(k);
-            Row key;
-            key.reserve(key_pos.size());
-            for (int p : key_pos) key.push_back(b.At(p, r));
-            auto [it, inserted] =
-                part.groups.emplace(std::move(key), NewGroup(plan_->aggs));
-            if (inserted) {
-              // Same per-group charge as the serial hash aggregate; workers
-              // sharing a group each charge their partial — the budget
-              // bounds real memory, which partials really occupy.
-              if (!wc->GovernorCharge(1, ModeledRowBytes(it->first) +
-                                             48 * na)) {
-                charged_out = true;
-                break;
-              }
-              part.order.push_back(&it->first);
-            }
-            for (size_t i = 0; i < na; ++i) {
-              if (plan_->aggs[i].func == ast::AggFunc::kCountStar ||
-                  plan_->aggs[i].arg == nullptr) {
-                it->second.accs[i].Accumulate(Value::Null());
-              } else {
-                it->second.accs[i].Accumulate(argv[i][k]);
-              }
-            }
-          }
-          if (charged_out) break;
-        }
-      } else {
-        Row in;
-        while (!wc->Failed() && tree->NextBatch(&b)) {
-          for (size_t k = 0; k < b.ActiveSize(); ++k) {
-            b.MaterializeActive(k, &in);
-            Row key;
-            key.reserve(key_pos.size());
-            for (int p : key_pos) key.push_back(in[p]);
-            auto [it, inserted] =
-                part.groups.emplace(std::move(key), NewGroup(plan_->aggs));
-            if (inserted) {
-              // Same per-group charge as the serial hash aggregate; workers
-              // sharing a group each charge their partial — the budget
-              // bounds real memory, which partials really occupy.
-              if (!wc->GovernorCharge(1, ModeledRowBytes(it->first) +
-                                             48 * plan_->aggs.size())) {
-                break;
-              }
-              part.order.push_back(&it->first);
-            }
-            EvalContext ev{&child_map, &in, &wc->params};
-            for (size_t i = 0; i < plan_->aggs.size(); ++i) {
-              const plan::AggItem& item = plan_->aggs[i];
-              if (item.func == ast::AggFunc::kCountStar) {
-                it->second.accs[i].Accumulate(Value::Null());
-              } else {
-                it->second.accs[i].Accumulate(EvalExpr(*item.arg, ev));
-              }
+              it->second.accs[i].Accumulate(argv[i][k]);
             }
           }
         }
+        if (charged_out) break;
       }
       if (wc->Failed()) abort_.store(true, std::memory_order_relaxed);
     });

@@ -1,11 +1,12 @@
-// Tests for the vectorized execution path: RowBatch mechanics, batch
-// expression evaluation vs the scalar evaluator, and batch-mode operator
-// parity (identical rows AND identical ExecStats) against the row-mode
-// Volcano executors on hand-built physical plans.
+// Tests for the vectorized execution path: RowBatch mechanics, the batch
+// expression entry point's interpreter fallback vs the scalar evaluator,
+// and batch-mode operator parity (identical rows AND identical ExecStats)
+// against the row-mode Volcano executors on hand-built physical plans.
 #include <gtest/gtest.h>
 
-#include "exec/expr_eval.h"
 #include "exec/executors.h"
+#include "exec/expr_compile.h"
+#include "exec/expr_eval.h"
 #include "tests/exec/exec_test_util.h"
 
 namespace qopt::exec {
@@ -80,13 +81,19 @@ TEST(RowBatchTest, ResetReusesStorage) {
 }
 
 // ---------------------------------------------------------------------------
-// Batch expression evaluation vs the scalar evaluator.
+// expr::BatchExpr's interpreter fallback (compilation off) vs the scalar
+// evaluator, row by row.
 
 class BatchEvalTest : public ::testing::Test {
  protected:
   void SetUp() override {
     // Columns: {0,0}=int a, {0,1}=int b (with NULLs), {0,2}=string s.
     colmap_ = {{{0, 0}, 0}, {{0, 1}, 1}, {{0, 2}, 2}};
+    env_ = expr::MakeCompileEnv(
+        colmap_, std::vector<plan::OutputCol>{{{0, 0}, TypeId::kInt64, "a"},
+                                              {{0, 1}, TypeId::kInt64, "b"},
+                                              {{0, 2}, TypeId::kString, "s"}});
+    ctx_.compile_expressions = false;
     rows_ = {
         {Value::Int(1), Value::Int(10), Value::String("apple")},
         {Value::Int(2), Value::Null(), Value::String("banana")},
@@ -98,11 +105,21 @@ class BatchEvalTest : public ::testing::Test {
     for (const Row& r : rows_) batch_.AppendRow(r);
   }
 
-  // Asserts EvalExprBatch agrees with per-row EvalExpr on every live row.
+  /// Binds `e` through the batch entry point with compilation off, so
+  /// every call takes the per-row interpreter fallback.
+  expr::BatchExpr Bind(const plan::BExpr& e, bool as_predicate) {
+    expr::BatchExpr be;
+    EXPECT_FALSE(be.Bind(&node_, expr::kSlotPredicate, e, env_, as_predicate,
+                         &ctx_));
+    return be;
+  }
+
+  // Asserts the fallback EvalColumn agrees with per-row EvalExpr on every
+  // live row.
   void CheckAgainstScalar(const plan::BExpr& e) {
-    BatchEvalContext bctx{&colmap_, &batch_, nullptr};
+    expr::BatchExpr be = Bind(e, /*as_predicate=*/false);
     std::vector<Value> got;
-    EvalExprBatch(*e, bctx, &got);
+    be.EvalColumn(batch_, &got);
     ASSERT_EQ(got.size(), batch_.ActiveSize()) << e->ToString();
     for (size_t k = 0; k < batch_.ActiveSize(); ++k) {
       EvalContext sctx{&colmap_, &rows_[batch_.ActiveIndex(k)], nullptr};
@@ -128,6 +145,9 @@ class BatchEvalTest : public ::testing::Test {
   }
 
   ColMap colmap_;
+  expr::CompileEnv env_;
+  ExecContext ctx_;
+  PhysicalPlan node_;
   std::vector<Row> rows_;
   RowBatch batch_;
 };
@@ -219,20 +239,32 @@ TEST_F(BatchEvalTest, RespectsSelectionVector) {
 }
 
 TEST_F(BatchEvalTest, PredicateBatchCompactsSelection) {
-  BatchEvalContext bctx{&colmap_, &batch_, nullptr};
   // a > 0: keeps rows 0,1,2 (a = 1,2,3), rejects 3 (0) and 4 (-7).
-  plan::BExpr pred = Bin(ast::BinaryOp::kGt, A(), L(0));
-  EvalPredicateBatch(pred, bctx, &batch_);
+  Bind(Bin(ast::BinaryOp::kGt, A(), L(0)), true).Filter(&batch_);
   ASSERT_EQ(batch_.ActiveSize(), 3u);
   EXPECT_EQ(batch_.ActiveIndex(0), 0u);
   EXPECT_EQ(batch_.ActiveIndex(1), 1u);
   EXPECT_EQ(batch_.ActiveIndex(2), 2u);
   // Refine further: b IS NOT NULL drops row 1. NULL predicate keeps all.
-  EvalPredicateBatch(plan::MakeIsNull(B(), true), bctx, &batch_);
+  Bind(plan::MakeIsNull(B(), true), true).Filter(&batch_);
   ASSERT_EQ(batch_.ActiveSize(), 2u);
   EXPECT_EQ(batch_.ActiveIndex(1), 2u);
-  EvalPredicateBatch(nullptr, bctx, &batch_);
+  Bind(nullptr, true).Filter(&batch_);
   EXPECT_EQ(batch_.ActiveSize(), 2u);
+}
+
+TEST_F(BatchEvalTest, CorrelatedColumnReadsParams) {
+  // {1,0} is not in the batch's column map: the fallback resolves it from
+  // the context's correlated parameters, exactly as EvalExpr does.
+  plan::BExpr outer = plan::MakeColumn({1, 0}, TypeId::kInt64, "o");
+  ctx_.params[{1, 0}] = Value::Int(2);
+  plan::BExpr pred = Bin(ast::BinaryOp::kGe, A(), outer);
+  expr::BatchExpr be = Bind(pred, true);
+  EXPECT_EQ(be.referenced_cols(), std::vector<int>{0});
+  be.Filter(&batch_);
+  ASSERT_EQ(batch_.ActiveSize(), 2u);  // a = 2, 3
+  EXPECT_EQ(batch_.ActiveIndex(0), 1u);
+  EXPECT_EQ(batch_.ActiveIndex(1), 2u);
 }
 
 // ---------------------------------------------------------------------------

@@ -55,34 +55,45 @@ class ExprCompileTest : public ::testing::Test {
   }
   BExpr Lit(int64_t v) { return MakeLiteral(Value::Int(v)); }
 
-  /// Compiled FilterBatch == interpreted EvalPredicateBatch, on identical
-  /// fresh batches.
+  /// The live rows of `b` for which the scalar oracle EvalPredicate is
+  /// TRUE, as a selection vector.
+  std::vector<uint32_t> OracleSelection(const BExpr& pred,
+                                        const RowBatch& b) const {
+    std::vector<uint32_t> sel;
+    Row row;
+    for (size_t k = 0; k < b.ActiveSize(); ++k) {
+      b.MaterializeActive(k, &row);
+      if (EvalPredicate(pred, EvalContext{&colmap_, &row, nullptr})) {
+        sel.push_back(b.ActiveIndex(k));
+      }
+    }
+    return sel;
+  }
+
+  /// Compiled FilterBatch == per-live-row EvalPredicate.
   void ExpectFilterParity(const BExpr& pred) {
     auto prog = ExprProgram::Compile(*pred, env_, /*as_predicate=*/true);
     ASSERT_NE(prog, nullptr) << pred->ToString();
-    RowBatch compiled, interpreted;
+    RowBatch compiled;
     FillBatch(&compiled, 64, 42);
-    FillBatch(&interpreted, 64, 42);
+    const std::vector<uint32_t> want = OracleSelection(pred, compiled);
     ExprExecState state;
     prog->FilterBatch(&compiled, &state);
-    BatchEvalContext bev{&colmap_, &interpreted, nullptr};
-    EvalPredicateBatch(pred, bev, &interpreted);
-    EXPECT_EQ(compiled.selection(), interpreted.selection())
-        << pred->ToString();
+    EXPECT_EQ(compiled.selection(), want) << pred->ToString();
   }
 
-  /// Compiled EvalColumn == interpreted EvalExprBatch, value by value.
+  /// Compiled EvalColumn == per-live-row EvalExpr, value by value.
   void ExpectEvalParity(const BExpr& e) {
     auto prog = ExprProgram::Compile(*e, env_, /*as_predicate=*/false);
     ASSERT_NE(prog, nullptr) << e->ToString();
     ExprExecState state;
-    std::vector<Value> compiled, interpreted;
+    std::vector<Value> compiled;
     prog->EvalColumn(batch_, &state, &compiled);
-    BatchEvalContext bev{&colmap_, &batch_, nullptr};
-    EvalExprBatch(*e, bev, &interpreted);
-    ASSERT_EQ(compiled.size(), interpreted.size()) << e->ToString();
+    ASSERT_EQ(compiled.size(), batch_.ActiveSize()) << e->ToString();
+    Row row;
     for (size_t k = 0; k < compiled.size(); ++k) {
-      EXPECT_EQ(compiled[k], interpreted[k])
+      batch_.MaterializeActive(k, &row);
+      EXPECT_EQ(compiled[k], EvalExpr(*e, EvalContext{&colmap_, &row, nullptr}))
           << e->ToString() << " row " << k;
     }
   }
@@ -219,19 +230,15 @@ TEST_F(ExprCompileTest, SelectionVectorAware) {
   BExpr pred = MakeBinary(BinaryOp::kLt, Col(0), Lit(50));
   auto prog = ExprProgram::Compile(*pred, env_, true);
   ASSERT_NE(prog, nullptr);
+  const std::vector<uint32_t> want = OracleSelection(pred, b);
   ExprExecState state;
   prog->FilterBatch(&b, &state);
-  RowBatch ref;
-  FillBatch(&ref, 64, 42);
-  *ref.mutable_selection() = odd;
-  BatchEvalContext bev{&colmap_, &ref, nullptr};
-  EvalPredicateBatch(pred, bev, &ref);
-  EXPECT_EQ(b.selection(), ref.selection());
+  EXPECT_EQ(b.selection(), want);
 }
 
 TEST_F(ExprCompileTest, RandomizedParity) {
-  // Random nested predicates over all columns; compiled == interpreted on
-  // every seed (the small-scale mirror of integration property P6).
+  // Random nested predicates over all columns; compiled == the scalar
+  // oracle on every seed (the small-scale mirror of integration property P6).
   std::mt19937_64 rng(7);
   for (int iter = 0; iter < 200; ++iter) {
     std::function<BExpr(int)> gen = [&](int depth) -> BExpr {

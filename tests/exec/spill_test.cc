@@ -187,20 +187,17 @@ TEST_F(SpillExecTest, GovernorBudgetDegradesInsteadOfFailing) {
 }
 
 TEST_F(SpillExecTest, NoSpillFilesLeftBehind) {
-  namespace fs = std::filesystem;
-  auto count_spill_files = [] {
-    size_t n = 0;
-    for (const auto& e : fs::directory_iterator(fs::temp_directory_path())) {
-      if (e.path().filename().string().rfind("qopt_spill_", 0) == 0) ++n;
-    }
-    return n;
-  };
-  size_t before = count_spill_files();
+  // Spill into a private directory: it must be empty again afterwards.
+  testing::ScopedTempDir dir;
+  ASSERT_FALSE(dir.path().empty());
   QueryOptions opts;
   opts.spill.operator_budget_bytes = 2 * 1024;
-  Run("SELECT t.id, g.label FROM t, g WHERE t.grp = g.gid ORDER BY t.id",
+  opts.spill.dir = dir.path();
+  QueryResult r = Run(
+      "SELECT t.id, g.label FROM t, g WHERE t.grp = g.gid ORDER BY t.id",
       opts);
-  EXPECT_EQ(count_spill_files(), before);
+  EXPECT_GT(r.exec_stats.spill_runs, 0u);
+  EXPECT_EQ(dir.NumEntries(), 0u);
 }
 
 TEST_F(SpillExecTest, ExplainAnalyzeShowsSpillAnnotation) {

@@ -3,7 +3,7 @@
 // (timings masked — they are the only nondeterministic part), cross-mode
 // parity of the per-operator actual row counts, q-error == 1.0 when the
 // statistics are exact, the modeled_pages_read divergence pin for parallel
-// mode, and the optimizer trace.
+// mode, the optimizer trace, and the expression-fallback markers.
 //
 // Regenerate the goldens after an intentional plan/format change with:
 //   QOPT_UPDATE_GOLDENS=1 ./integration_test \
@@ -268,6 +268,95 @@ TEST(OptTraceTest, CapsRetainedEvents) {
   EXPECT_EQ(trace.events().size(), opt::OptTrace::kMaxEvents);
   EXPECT_EQ(trace.dropped(), 10u);
   EXPECT_NE(trace.ToString().find("10 events dropped"), std::string::npos);
+}
+
+// Expression shapes the compiler does not cover (CASE) run through the
+// scalar interpreter fallback end to end, in batch and parallel mode: the
+// operator carries an [expr: interpreted|mixed] marker, the expr.fallback
+// counter moves, and the rows match naive execution with compilation off.
+class ExprFallbackTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    testing::LoadJoinTables(&db_, /*n=*/2, /*rows=*/300, /*ndv=*/30,
+                            /*seed=*/11);
+  }
+
+  uint64_t FallbackCount() {
+    for (const MetricsRegistry::Sample& s : db_.metrics().Snapshot()) {
+      if (s.name == "expr.fallback") return s.value;
+    }
+    return 0;
+  }
+
+  /// Runs `sql` in `mode` and checks that the first plan line starting with
+  /// `node` carries `marker`.
+  void Check(const std::string& sql, const std::string& node,
+             const std::string& marker) {
+    QueryOptions oracle;
+    oracle.naive_execution = true;
+    oracle.compile_expressions = false;
+    Result<QueryResult> want = db_.Query(sql, oracle);
+    ASSERT_TRUE(want.ok()) << want.status().ToString() << " " << sql;
+    for (exec::ExecMode mode :
+         {exec::ExecMode::kBatch, exec::ExecMode::kParallel}) {
+      const std::string label =
+          sql + (mode == exec::ExecMode::kBatch ? " [batch]" : " [parallel]");
+      QueryOptions options;
+      options.execution_mode = mode;
+      options.use_plan_cache = false;
+      options.dop = 4;
+      options.morsel_rows = 64;
+      Result<std::string> text = db_.ExplainAnalyze(sql, options);
+      ASSERT_TRUE(text.ok()) << text.status().ToString() << " " << label;
+      std::istringstream lines(*text);
+      std::string line;
+      bool found = false;
+      while (std::getline(lines, line)) {
+        const size_t start = line.find_first_not_of(' ');
+        if (start == std::string::npos || line.compare(start, node.size(),
+                                                       node) != 0) {
+          continue;
+        }
+        found = true;
+        EXPECT_NE(line.find(marker), std::string::npos) << label << "\n"
+                                                         << *text;
+        break;
+      }
+      EXPECT_TRUE(found) << label << ": no " << node << " node\n" << *text;
+
+      const uint64_t before = FallbackCount();
+      Result<QueryResult> got = db_.Query(sql, options);
+      ASSERT_TRUE(got.ok()) << got.status().ToString() << " " << label;
+      EXPECT_GT(FallbackCount(), before) << label;
+      testing::ExpectSameRows(got->rows, want->rows, label);
+    }
+  }
+
+  Database db_;
+};
+
+TEST_F(ExprFallbackTest, CaseProjectionIsMixed) {
+  // t0.pk compiles, the CASE falls back.
+  Check("SELECT t0.pk, CASE WHEN t0.a < 10 THEN t0.b ELSE t0.c END "
+        "FROM t0 WHERE t0.c < 800",
+        "Project(", "[expr: mixed]");
+}
+
+TEST_F(ExprFallbackTest, CorrelatedSubqueryFilterIsInterpreted) {
+  // Decorrelation turns the subquery into a grouped join; the filter that
+  // compares against its aggregate keeps the CASE and falls back.
+  Check("SELECT t0.pk FROM t0 WHERE "
+        "CASE WHEN t0.a < 10 THEN t0.b ELSE t0.c END > "
+        "(SELECT AVG(t1.c) FROM t1 WHERE t1.a = t0.a)",
+        "Filter(", "[expr: interpreted]");
+}
+
+TEST_F(ExprFallbackTest, CaseAggregateArgumentIsInterpreted) {
+  // The hash aggregate's argument drain (serial in batch mode, per-worker
+  // partials in parallel mode) takes the fallback for a CASE argument.
+  Check("SELECT t0.a, SUM(CASE WHEN t0.b < 10 THEN t0.c ELSE 0 END) "
+        "FROM t0 GROUP BY t0.a",
+        "HashAggregate(", "[expr: interpreted]");
 }
 
 }  // namespace

@@ -4,14 +4,50 @@
 #define QOPT_TESTS_TESTING_DB_FIXTURES_H_
 
 #include <gtest/gtest.h>
+#include <stdlib.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <iterator>
 
 #include "engine/database.h"
 #include "workload/datagen.h"
 #include "workload/query_gen.h"
 
 namespace qopt::testing {
+
+/// A private directory created empty under the system temp dir (mkdtemp)
+/// and removed with its contents on destruction. Tests that check spill
+/// cleanup point QueryOptions::spill.dir here, so test processes running
+/// concurrently under `ctest -j` never see each other's spill files.
+class ScopedTempDir {
+ public:
+  ScopedTempDir() {
+    std::string tmpl =
+        (std::filesystem::temp_directory_path() / "qopt_test_XXXXXX")
+            .string();
+    if (::mkdtemp(tmpl.data()) != nullptr) path_ = tmpl;
+  }
+  ~ScopedTempDir() {
+    std::error_code ec;
+    if (!path_.empty()) std::filesystem::remove_all(path_, ec);
+  }
+  ScopedTempDir(const ScopedTempDir&) = delete;
+  ScopedTempDir& operator=(const ScopedTempDir&) = delete;
+
+  /// Empty when mkdtemp failed.
+  const std::string& path() const { return path_; }
+
+  /// Number of directory entries currently in the directory.
+  size_t NumEntries() const {
+    return static_cast<size_t>(
+        std::distance(std::filesystem::directory_iterator(path_),
+                      std::filesystem::directory_iterator()));
+  }
+
+ private:
+  std::string path_;
+};
 
 /// Order-insensitive multiset comparison of result rows.
 inline void ExpectSameRows(std::vector<Row> got, std::vector<Row> want,

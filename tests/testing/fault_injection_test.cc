@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <map>
 #include <string>
 
@@ -200,23 +199,20 @@ TEST_F(FaultInjectionTest, SpillFaultsLeaveNoOrphanedFiles) {
   // A mid-query spill I/O failure must unwind the whole operator: the
   // query fails with the injected status and every spill file written so
   // far is removed. A retry with the fault cleared succeeds from scratch.
-  namespace fs = std::filesystem;
-  auto count_spill_files = [] {
-    size_t n = 0;
-    for (const auto& e : fs::directory_iterator(fs::temp_directory_path())) {
-      if (e.path().filename().string().rfind("qopt_spill_", 0) == 0) ++n;
-    }
-    return n;
-  };
+  // Spill into a private directory, so the check cannot see files of
+  // other test processes: it must be empty after every query.
+  ScopedTempDir dir;
+  ASSERT_FALSE(dir.path().empty());
   QueryOptions options;
   options.spill.operator_budget_bytes = 1024;
+  options.spill.dir = dir.path();
   const std::string sql =
       "SELECT e.eid, e.dept_name FROM Emp e ORDER BY e.dept_name, e.eid";
   auto baseline = db_.Query(sql, options);
   ASSERT_TRUE(baseline.ok());
   ASSERT_GT(baseline->exec_stats.spill_runs, 0u);
+  EXPECT_EQ(dir.NumEntries(), 0u);
 
-  const size_t before = count_spill_files();
   for (const char* point : {"storage.spill.open", "storage.spill.write"}) {
     // kNth so some spill files are created successfully before the fault
     // fires — the interesting cleanup case.
@@ -224,7 +220,7 @@ TEST_F(FaultInjectionTest, SpillFaultsLeaveNoOrphanedFiles) {
                                   StatusCode::kInternal, "disk full");
     auto injected = db_.Query(sql, options);
     ASSERT_FALSE(injected.ok()) << point;
-    EXPECT_EQ(count_spill_files(), before)
+    EXPECT_EQ(dir.NumEntries(), 0u)
         << point << ": orphaned spill files left behind";
     FaultRegistry::Instance().DisarmAll();
     auto retried = db_.Query(sql, options);
