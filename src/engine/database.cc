@@ -803,6 +803,28 @@ uint64_t ElapsedNs(std::chrono::steady_clock::time_point since) {
           .count());
 }
 
+/// The spill policy `options` resolve to: armed when enabled and there is
+/// a budget to degrade against — an explicit per-operator budget, or a
+/// quarter of the governor's byte budget (64 KiB floor) so four
+/// materializing operators fit. Not plan-affecting: the same plan runs
+/// spilled or in-memory.
+SpillConfig ResolveSpill(const QueryOptions& options) {
+  SpillConfig spill;
+  const SpillOptions& so = options.spill;
+  const uint64_t max_memory = options.governor.max_memory_bytes;
+  if (!so.enabled || (so.operator_budget_bytes == 0 && max_memory == 0)) {
+    return spill;
+  }
+  spill.armed = true;
+  spill.budget_bytes = so.operator_budget_bytes > 0
+                           ? so.operator_budget_bytes
+                           : std::max<uint64_t>(max_memory / 4, 64 * 1024);
+  spill.partitions = so.partitions;
+  spill.merge_fanin = so.merge_fanin;
+  spill.dir = so.dir;
+  return spill;
+}
+
 }  // namespace
 
 Result<QueryResult> Database::Query(const std::string& sql,
@@ -891,22 +913,8 @@ Result<QueryResult> Database::QueryInternal(const std::string& sql,
   ctx.expr_fallback_metric = expr_fallback_;
   ctx.expr_compile_ns = expr_compile_ns_;
   if (governor.enabled()) ctx.governor = &governor;
-  // Spill resolution: arm when enabled and there is a budget to degrade
-  // against — an explicit per-operator budget, or a quarter of the
-  // governor's byte budget (64 KiB floor) so four materializing operators
-  // fit. Not plan-affecting: the same plan runs spilled or in-memory.
-  if (opts.spill.enabled &&
-      (opts.spill.operator_budget_bytes > 0 ||
-       opts.governor.max_memory_bytes > 0)) {
-    ctx.spill.armed = true;
-    ctx.spill.budget_bytes =
-        opts.spill.operator_budget_bytes > 0
-            ? opts.spill.operator_budget_bytes
-            : std::max<uint64_t>(opts.governor.max_memory_bytes / 4,
-                                 64 * 1024);
-    ctx.spill.partitions = opts.spill.partitions;
-    ctx.spill.merge_fanin = opts.spill.merge_fanin;
-    ctx.spill.dir = opts.spill.dir;
+  ctx.spill = ResolveSpill(opts);
+  if (ctx.spill.armed) {
     ctx.spill_runs_metric = spill_runs_;
     ctx.spill_bytes_metric = spill_bytes_;
     ctx.spill_run_bytes = spill_run_bytes_;
@@ -1028,18 +1036,14 @@ std::string ExplainHeader(const opt::OptimizeInfo& info) {
 std::string RenderPlanText(const exec::PhysPtr& plan,
                            const QueryOptions& options,
                            const exec::PlanAnnotations* annotations) {
-  // Mirrors QueryInternal's spill arming: a spill-armed hash join runs as
-  // a row-mode grace join, so it must not be marked [batch]/[parallel].
-  const bool spill_armed =
-      options.spill.enabled && (options.spill.operator_budget_bytes > 0 ||
-                                options.governor.max_memory_bytes > 0);
   if (options.execution_mode == exec::ExecMode::kParallel) {
     // Mark the morsel-parallel region roots plus the vectorized operators
-    // the serial remainder of the plan will use.
+    // the serial remainder of the plan will use. A spill-armed hash join
+    // is never a region member (the parallel build cannot spill).
     std::unordered_set<const exec::PhysicalPlan*> batch_nodes =
-        exec::BatchModeNodes(plan, spill_armed);
+        exec::BatchModeNodes(plan);
     std::unordered_set<const exec::PhysicalPlan*> parallel_roots =
-        exec::ParallelRegionRoots(plan, spill_armed);
+        exec::ParallelRegionRoots(plan, ResolveSpill(options).armed);
     return "execution mode: parallel (dop " + std::to_string(options.dop) +
            "; region roots marked [parallel], vectorized operators " +
            "[batch])\n" +
@@ -1049,7 +1053,7 @@ std::string RenderPlanText(const exec::PhysPtr& plan,
     // Mark the operators the builder will run vectorized; the rest fall
     // back to row mode (Apply subtrees, index nested-loops, under Limit).
     std::unordered_set<const exec::PhysicalPlan*> batch_nodes =
-        exec::BatchModeNodes(plan, spill_armed);
+        exec::BatchModeNodes(plan);
     return "execution mode: batch (capacity " +
            std::to_string(options.batch_capacity) +
            "; vectorized operators marked [batch])\n" +

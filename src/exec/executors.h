@@ -8,10 +8,11 @@
 // tuple-iteration semantics of §4.2.2).
 //
 // Every executor additionally supports NextBatch(): the default adapter
-// loops Next(), while the hot operators (scan, filter, project, hash-join
-// probe) have native column-at-a-time implementations selected by the
-// builder when ExecContext::mode is ExecMode::kBatch. Both modes produce
-// identical results and identical ExecStats.
+// loops Next(), while the hot operators (scan, filter, project) have native
+// column-at-a-time implementations selected by the builder when
+// ExecContext::mode is ExecMode::kBatch. The hash join is vectorized in
+// every mode: in row contexts it pulls its probe input one row at a time.
+// Both modes produce identical results and identical ExecStats.
 #ifndef QOPT_EXEC_EXECUTORS_H_
 #define QOPT_EXEC_EXECUTORS_H_
 
@@ -41,9 +42,9 @@ namespace qopt::exec {
 /// that need tuple-iteration semantics (Apply, index nested-loops) or can
 /// terminate early (Limit), so that observed ExecStats stay exact.
 /// kParallel additionally runs maximal eligible subtrees (table scans,
-/// filters, projections, hash joins, a root hash aggregate) morsel-parallel
-/// across `ExecContext::dop` workers, gathering at the subtree root; the
-/// rest of the plan runs exactly as kBatch.
+/// filters, projections, hash joins unless spill is armed, a root hash
+/// aggregate) morsel-parallel across `ExecContext::dop` workers, gathering
+/// at the subtree root; the rest of the plan runs exactly as kBatch.
 enum class ExecMode { kRow, kBatch, kParallel };
 
 /// Observed execution counters, used to validate the cost model (E17).
@@ -243,11 +244,14 @@ struct ExecContext {
   }
 };
 
-/// Modeled in-memory footprint of `row` for governor accounting: a flat
-/// per-value estimate, deliberately coarse — budgets bound magnitude, not
-/// exact allocator bytes.
+/// Modeled in-memory footprint of a row of `width` values for governor
+/// accounting: a flat per-value estimate, deliberately coarse — budgets
+/// bound magnitude, not exact allocator bytes.
+inline uint64_t ModeledRowBytes(size_t width) {
+  return 16 + 24 * static_cast<uint64_t>(width);
+}
 inline uint64_t ModeledRowBytes(const Row& row) {
-  return 16 + 24 * static_cast<uint64_t>(row.size());
+  return ModeledRowBytes(row.size());
 }
 
 /// Iterator-model operator.
@@ -399,15 +403,17 @@ std::unique_ptr<Executor> BuildExecutor(const PhysPtr& plan, ExecContext* ctx);
 Result<std::vector<Row>> ExecuteAll(const PhysPtr& plan, ExecContext* ctx);
 
 /// The set of plan nodes that run vectorized under ExecMode::kBatch
-/// (mirrors the builder's mode-selection rules; used by EXPLAIN). When
-/// `spill_armed`, hash joins leave the batch set: they run as row-mode
-/// grace joins so they can partition to disk under memory pressure.
-std::unordered_set<const PhysicalPlan*> BatchModeNodes(
-    const PhysPtr& plan, bool spill_armed = false);
+/// (mirrors the builder's mode-selection rules; used by EXPLAIN). The
+/// second argument is ignored: arming spill changes how a hash join runs,
+/// never which engine runs it. It stays for existing two-argument callers.
+std::unordered_set<const PhysicalPlan*> BatchModeNodes(const PhysPtr& plan,
+                                                       bool = false);
 
 /// The roots of the maximal subtrees that run morsel-parallel under
 /// ExecMode::kParallel (mirrors the builder's region-selection rules; used
-/// by EXPLAIN). `spill_armed` as in BatchModeNodes.
+/// by EXPLAIN). When `spill_armed`, hash joins are not parallel-eligible:
+/// the partitioned parallel build cannot spill, so they run as serial
+/// vectorized joins.
 std::unordered_set<const PhysicalPlan*> ParallelRegionRoots(
     const PhysPtr& plan, bool spill_armed = false);
 

@@ -1,17 +1,19 @@
 // JoinBuildState: the materialized build side of a hash join, separated
 // from the probing executor so it can be (a) built once and probed by many
 // worker threads under ExecMode::kParallel, or (b) owned privately by the
-// serial BatchHashJoinExec — identical layout and match semantics either
-// way (DESIGN.md §3.8).
+// serial BatchHashJoinExec — the engine's one hash join, which also builds
+// a fresh state per partition pair when it spills — with identical layout
+// and match semantics either way (DESIGN.md §3.8).
 //
 // The build store is columnar: values move straight out of the build-side
-// child batches. Int64-keyed joins use a chained head/next layout (one hash
-// entry per distinct key, a flat next[] array, no per-row node allocation);
-// other key types use a Value multimap. The structures are written by
-// exactly one thread (Finalize, after all rows are appended) and read-only
-// during probing, with one exception: a non-int64 probe key arriving at an
-// int-keyed table lazily builds the generic multimap — under a mutex, so
-// concurrent probers stay safe.
+// child batches through Append, the one build loop of the serial join and
+// the parallel gather's build phases. Int64-keyed joins use a chained
+// head/next layout (one hash entry per distinct key, a flat next[] array,
+// no per-row node allocation); other key types use a Value multimap. The
+// structures are written by exactly one thread (Finalize, after all rows
+// are appended) and read-only during probing, with one exception: a
+// non-int64 probe key arriving at an int-keyed table lazily builds the
+// generic multimap — under a mutex, so concurrent probers stay safe.
 #ifndef QOPT_EXEC_HASH_JOIN_STATE_H_
 #define QOPT_EXEC_HASH_JOIN_STATE_H_
 
@@ -22,6 +24,7 @@
 #include <vector>
 
 #include "common/value.h"
+#include "exec/executors.h"
 
 namespace qopt::exec::internal {
 
@@ -30,8 +33,30 @@ struct ValueHash {
 };
 
 struct JoinBuildState {
+  /// An empty store of `width` columns keyed on column `rk`, each column
+  /// pre-sized for `reserve` rows.
+  JoinBuildState(size_t width, size_t rk, size_t reserve = 0)
+      : build_cols(width), rk(rk) {
+    for (std::vector<Value>& col : build_cols) col.reserve(reserve);
+  }
+
   std::vector<std::vector<Value>> build_cols;  ///< Columnar build store.
   size_t rk = 0;  ///< Build key column position in build_cols.
+
+  /// Moves `batch`'s live rows into the store, skipping NULL keys (they
+  /// never match). Each appended row is charged to `ctx`'s governor as one
+  /// row of `row_bytes` modeled bytes; on exhaustion the error is recorded
+  /// on `ctx` and the rest of the batch is dropped.
+  void Append(RowBatch* batch, ExecContext* ctx, uint64_t row_bytes) {
+    for (size_t k = 0; k < batch->ActiveSize(); ++k) {
+      uint32_t r = batch->ActiveIndex(k);
+      if (batch->At(rk, r).is_null()) continue;
+      if (!ctx->GovernorCharge(1, row_bytes)) return;
+      for (size_t c = 0; c < build_cols.size(); ++c) {
+        build_cols[c].push_back(std::move(batch->column(c)[r]));
+      }
+    }
+  }
 
   size_t num_build_rows() const {
     return build_cols.empty() ? 0 : build_cols[rk].size();

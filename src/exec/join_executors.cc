@@ -1,5 +1,4 @@
 #include <algorithm>
-#include <unordered_map>
 
 #include "exec/executors_internal.h"
 #include "testing/fault_injection.h"
@@ -267,294 +266,6 @@ class MergeJoinExec : public JoinExecBase {
   size_t li_ = 0, rj_ = 0;
 };
 
-/// Hash join: builds on the right input, probes with the left, so left
-/// outer/semi/anti joins preserve the left side naturally.
-class HashJoinExec : public JoinExecBase {
- public:
-  using JoinExecBase::JoinExecBase;
-
-  void InitImpl() override {
-    left_->Init();
-    right_->Init();
-    table_.clear();
-    rows_.clear();
-    auto rit = right_->colmap().find(plan_->right_key);
-    QOPT_DCHECK(rit != right_->colmap().end());
-    int rk = rit->second;
-    rows_.reserve(ReserveHint(plan_->children[1]->est_rows));
-    Row r;
-    while (right_->Next(&r)) {
-      if (r[rk].is_null()) continue;  // NULL keys never match
-      if (!ctx_->GovernorCharge(1, ModeledRowBytes(r))) break;
-      ChargeMem(ModeledRowBytes(r));
-      rows_.push_back(std::move(r));
-    }
-    table_.reserve(rows_.size());
-    for (size_t i = 0; i < rows_.size(); ++i) {
-      table_.emplace(rows_[i][rk], i);
-    }
-    auto lit = left_->colmap().find(plan_->left_key);
-    QOPT_DCHECK(lit != left_->colmap().end());
-    lk_ = lit->second;
-    out_buffer_.clear();
-    buffer_pos_ = 0;
-  }
-
-  bool NextImpl(Row* out) override {
-    for (;;) {
-      if (DrainBuffer(out)) return true;
-      Row l;
-      if (!left_->Next(&l)) return false;
-      std::vector<const Row*> matches;
-      const Value& key = l[lk_];
-      if (!key.is_null()) {
-        auto [begin, end] = table_.equal_range(key);
-        for (auto it = begin; it != end; ++it) {
-          const Row& r = rows_[it->second];
-          if (!plan_->predicate ||
-              EvalJoinPred(plan_->predicate, Combine(l, r))) {
-            matches.push_back(&r);
-          }
-        }
-      }
-      EmitForLeftRow(l, matches);
-    }
-  }
-
- private:
-  struct ValueHash {
-    size_t operator()(const Value& v) const { return v.Hash(); }
-  };
-  std::unordered_multimap<Value, size_t, ValueHash> table_;
-  std::vector<Row> rows_;
-  int lk_ = 0;
-};
-
-/// Grace hash join: the spill-armed replacement for HashJoinExec. The
-/// build (right) side buffers in memory up to the spill budget; past it,
-/// both inputs are hash-partitioned to disk and each partition pair is
-/// joined in memory independently (single level, no recursive
-/// repartitioning). Output order is partition-major, a documented
-/// difference from the in-memory join's probe order — results are
-/// multiset-identical.
-///
-/// The partition function mixes Value::Hash with a splitmix64 finalizer so
-/// it is independent of the in-memory hash table's bucketing — partition
-/// skew and bucket skew stay uncorrelated.
-class GraceHashJoinExec : public JoinExecBase {
- public:
-  using JoinExecBase::JoinExecBase;
-
-  void InitImpl() override {
-    left_->Init();
-    right_->Init();
-    table_.clear();
-    build_rows_.clear();
-    build_parts_.clear();
-    probe_parts_.clear();
-    next_part_ = 0;
-    have_partition_ = false;
-    spilled_ = false;
-    out_buffer_.clear();
-    buffer_pos_ = 0;
-    auto rit = right_->colmap().find(plan_->right_key);
-    auto lit = left_->colmap().find(plan_->left_key);
-    QOPT_DCHECK(rit != right_->colmap().end());
-    QOPT_DCHECK(lit != left_->colmap().end());
-    rk_ = rit->second;
-    lk_ = lit->second;
-    const SpillConfig& sp = ctx_->spill;
-    uint64_t buffered = 0;
-    Row r;
-    while (right_->Next(&r)) {
-      if (r[static_cast<size_t>(rk_)].is_null()) continue;  // never matches
-      // Memory is bounded by construction (spill budget): charge only the
-      // governor's row budget/deadline.
-      if (!ctx_->GovernorCharge(1, 0)) break;
-      if (!spilled_) {
-        buffered += ModeledRowBytes(r);
-        build_rows_.push_back(std::move(r));
-        if (buffered > sp.budget_bytes && build_rows_.size() > 1) {
-          if (!BeginSpill()) break;
-        }
-      } else {
-        if (!AppendPart(build_parts_, r)) break;
-      }
-    }
-    if (ctx_->Failed()) return;
-    if (!spilled_) {
-      ChargeMem(buffered);
-      BuildTable();
-      return;
-    }
-    // Seal the build partitions, then partition the ENTIRE probe side:
-    // rows with NULL keys go to partition 0 so left-outer/anti emission
-    // still sees them (they match nothing there).
-    if (!SealParts(build_parts_)) return;
-    Row l;
-    while (left_->Next(&l)) {
-      if (!AppendPart(probe_parts_, l)) return;
-    }
-    if (ctx_->Failed()) return;
-    SealParts(probe_parts_);
-  }
-
-  bool NextImpl(Row* out) override {
-    for (;;) {
-      if (DrainBuffer(out)) return true;
-      if (ctx_->Failed()) return false;
-      if (!spilled_) {
-        Row l;
-        if (!left_->Next(&l)) return false;
-        Probe(l);
-        continue;
-      }
-      if (!have_partition_) {
-        if (next_part_ >= build_parts_.size()) return false;
-        if (!LoadPartition(next_part_)) return false;
-        ++next_part_;
-        have_partition_ = true;
-      }
-      Row l;
-      auto more = probe_parts_[next_part_ - 1]->ReadNext(&l);
-      if (!more.ok()) {
-        ctx_->Fail(more.status());
-        return false;
-      }
-      if (!more.value()) {
-        have_partition_ = false;
-        continue;
-      }
-      if (!ctx_->GovernorTick()) return false;
-      Probe(l);
-    }
-  }
-
- private:
-  struct ValueHash {
-    size_t operator()(const Value& v) const { return v.Hash(); }
-  };
-
-  size_t PartOf(const Value& v) const {
-    uint64_t h = static_cast<uint64_t>(v.Hash()) + 0x9e3779b97f4a7c15ULL;
-    h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
-    return (h ^ (h >> 31)) % build_parts_.size();
-  }
-
-  void BuildTable() {
-    table_.reserve(build_rows_.size());
-    for (size_t i = 0; i < build_rows_.size(); ++i) {
-      table_.emplace(build_rows_[i][static_cast<size_t>(rk_)], i);
-    }
-  }
-
-  void Probe(const Row& l) {
-    std::vector<const Row*> matches;
-    const Value& key = l[static_cast<size_t>(lk_)];
-    if (!key.is_null()) {
-      auto [begin, end] = table_.equal_range(key);
-      for (auto it = begin; it != end; ++it) {
-        const Row& r = build_rows_[it->second];
-        if (!plan_->predicate ||
-            EvalJoinPred(plan_->predicate, Combine(l, r))) {
-          matches.push_back(&r);
-        }
-      }
-    }
-    EmitForLeftRow(l, matches);
-  }
-
-  /// Opens the partition files and flushes the buffered build rows.
-  bool BeginSpill() {
-    size_t fanout = std::max<size_t>(2, ctx_->spill.partitions);
-    for (auto* parts : {&build_parts_, &probe_parts_}) {
-      for (size_t i = 0; i < fanout; ++i) {
-        auto f = SpillFile::Create(ctx_->spill.dir);
-        if (!f.ok()) {
-          ctx_->Fail(f.status());
-          return false;
-        }
-        parts->push_back(std::move(f).value());
-      }
-    }
-    spilled_ = true;
-    for (const Row& r : build_rows_) {
-      if (!AppendPart(build_parts_, r)) return false;
-    }
-    build_rows_.clear();
-    return true;
-  }
-
-  bool AppendPart(std::vector<std::unique_ptr<SpillFile>>& parts,
-                  const Row& r) {
-    const Value& key = r[static_cast<size_t>(&parts == &build_parts_ ? rk_
-                                                                     : lk_)];
-    size_t p = key.is_null() ? 0 : PartOf(key);
-    Status s = parts[p]->Append(r);
-    if (!s.ok()) {
-      ctx_->Fail(std::move(s));
-      return false;
-    }
-    return true;
-  }
-
-  /// Flushes every partition file and records the non-empty ones as spill
-  /// runs.
-  bool SealParts(std::vector<std::unique_ptr<SpillFile>>& parts) {
-    for (auto& f : parts) {
-      Status s = f->FinishWrite();
-      if (!s.ok()) {
-        ctx_->Fail(std::move(s));
-        return false;
-      }
-      if (f->rows() > 0) RecordSpill(1, f->bytes_written());
-    }
-    return true;
-  }
-
-  /// Reads build partition `p` into the in-memory hash table and rewinds
-  /// its probe file.
-  bool LoadPartition(size_t p) {
-    build_rows_.clear();
-    table_.clear();
-    Status s = build_parts_[p]->Rewind();
-    if (!s.ok()) {
-      ctx_->Fail(std::move(s));
-      return false;
-    }
-    uint64_t bytes = 0;
-    Row r;
-    for (;;) {
-      auto more = build_parts_[p]->ReadNext(&r);
-      if (!more.ok()) {
-        ctx_->Fail(more.status());
-        return false;
-      }
-      if (!more.value()) break;
-      bytes += ModeledRowBytes(r);
-      build_rows_.push_back(std::move(r));
-    }
-    ChargeMem(bytes);
-    BuildTable();
-    s = probe_parts_[p]->Rewind();
-    if (!s.ok()) {
-      ctx_->Fail(std::move(s));
-      return false;
-    }
-    return true;
-  }
-
-  std::unordered_multimap<Value, size_t, ValueHash> table_;
-  std::vector<Row> build_rows_;
-  std::vector<std::unique_ptr<SpillFile>> build_parts_;
-  std::vector<std::unique_ptr<SpillFile>> probe_parts_;
-  size_t next_part_ = 0;
-  bool have_partition_ = false;
-  bool spilled_ = false;
-  int lk_ = 0, rk_ = 0;
-};
-
 /// Tuple-iteration correlated subquery: for each outer row, binds the
 /// correlated parameters and re-executes the inner subtree (§4.2.2's
 /// unoptimized nested execution — the baseline the unnesting rules beat).
@@ -636,13 +347,6 @@ std::unique_ptr<Executor> NewJoinExec(const PhysicalPlan* plan,
     case PhysOpKind::kMergeJoin:
       return std::make_unique<MergeJoinExec>(plan, ctx, std::move(left),
                                              std::move(right));
-    case PhysOpKind::kHashJoin:
-      if (ctx->spill.armed) {
-        return std::make_unique<GraceHashJoinExec>(plan, ctx, std::move(left),
-                                                   std::move(right));
-      }
-      return std::make_unique<HashJoinExec>(plan, ctx, std::move(left),
-                                            std::move(right));
     default:
       QOPT_DCHECK(false);
       return nullptr;

@@ -27,6 +27,7 @@
 // flag drains the morsel cursors so all workers unwind promptly; the first
 // failing worker's status (in worker order) becomes the query error.
 #include <algorithm>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <unordered_map>
@@ -49,10 +50,10 @@ bool ParallelEligible(const PhysicalPlan& plan, bool spill_armed) {
     case PhysOpKind::kProject:
       return ParallelEligible(*plan.children[0], spill_armed);
     case PhysOpKind::kHashJoin:
-      // A spill-armed hash join must run as a serial grace join so it can
-      // partition its inputs to disk under memory pressure; otherwise the
-      // probe side must be eligible (it carries the morsel scan) while the
-      // build side is handled either way by a build phase.
+      // A spill-armed hash join runs as a serial vectorized join, because
+      // the partitioned parallel build cannot spill; otherwise the probe
+      // side must be eligible (it carries the morsel scan) while the build
+      // side is handled either way by a build phase.
       if (spill_armed) return false;
       return ParallelEligible(*plan.children[0], spill_armed);
     default:
@@ -262,12 +263,10 @@ class ParallelGatherExec : public Executor {
       case PhysOpKind::kHashJoin: {
         RunBuildPhases(node->children[0]);
         const PhysPtr& build = node->children[1];
-        auto state = std::make_shared<JoinBuildState>();
-        size_t rwidth = build->output_cols.size();
-        state->build_cols.assign(rwidth, {});
-        state->rk = static_cast<size_t>(KeyPos(build, node->right_key));
-        size_t hint = ReserveHint(build->est_rows);
-        for (std::vector<Value>& col : state->build_cols) col.reserve(hint);
+        auto state = std::make_shared<JoinBuildState>(
+            build->output_cols.size(),
+            static_cast<size_t>(KeyPos(build, node->right_key)),
+            ReserveHint(build->est_rows));
         if (ParallelEligible(*build)) {
           RunBuildPhases(build);  // nested joins inside the build side
           ParallelBuild(build, state.get());
@@ -278,12 +277,12 @@ class ParallelGatherExec : public Executor {
           state->Finalize(KeyType(node->children[0], node->left_key),
                           KeyType(build, node->right_key));
         }
-        if (ctx_->analyze && !state->build_cols.empty()) {
+        if (ctx_->analyze) {
           // The shared build happens outside any single worker's executor
           // tree; attribute its modeled footprint to the join node so
           // EXPLAIN ANALYZE shows the build memory in parallel mode too.
-          uint64_t bytes =
-              state->build_cols[0].size() * (16 + 24 * rwidth);
+          uint64_t bytes = state->num_build_rows() *
+                           ModeledRowBytes(build->output_cols.size());
           OperatorStats& os = ctx_->op_stats[node.get()];
           os.peak_mem_bytes = std::max(os.peak_mem_bytes, bytes);
         }
@@ -295,22 +294,6 @@ class ParallelGatherExec : public Executor {
     }
   }
 
-  /// Appends `batch`'s live rows with non-NULL keys to columnar `cols`,
-  /// charging the governor per row (the row-mode build's formula). Shared
-  /// by the serial and parallel build drains.
-  static void AppendBuildRows(RowBatch* batch, size_t rk, size_t rwidth,
-                              ExecContext* wc,
-                              std::vector<std::vector<Value>>* cols) {
-    for (size_t k = 0; k < batch->ActiveSize(); ++k) {
-      uint32_t r = batch->ActiveIndex(k);
-      if (batch->At(rk, r).is_null()) continue;  // NULL keys never match
-      if (!wc->GovernorCharge(1, 16 + 24 * rwidth)) return;
-      for (size_t c = 0; c < rwidth; ++c) {
-        (*cols)[c].push_back(std::move(batch->column(c)[r]));
-      }
-    }
-  }
-
   /// Partitioned parallel build: workers drain morsels of the eligible
   /// build subtree into private columnar partitions, concatenated in
   /// worker order at the barrier (so the merged layout is a permutation of
@@ -319,15 +302,15 @@ class ParallelGatherExec : public Executor {
     if (Aborted()) return;
     size_t rwidth = build->output_cols.size();
     RegisterSources(build);
-    std::vector<std::vector<std::vector<Value>>> parts(dop_);
+    std::deque<JoinBuildState> parts;
+    for (size_t w = 0; w < dop_; ++w) parts.emplace_back(rwidth, state->rk);
     RunPhase([&](size_t w) {
-      parts[w].assign(rwidth, {});
       ExecContext* wc = wctx_[w].get();
       std::unique_ptr<Executor> tree = BuildWorkerTree(build, wc);
       tree->Init();
       RowBatch b;
       while (!wc->Failed() && tree->NextBatch(&b)) {
-        AppendBuildRows(&b, state->rk, rwidth, wc, &parts[w]);
+        parts[w].Append(&b, wc, ModeledRowBytes(rwidth));
       }
       if (wc->Failed()) abort_.store(true, std::memory_order_relaxed);
     });
@@ -335,8 +318,8 @@ class ParallelGatherExec : public Executor {
       for (size_t c = 0; c < rwidth; ++c) {
         std::vector<Value>& dst = state->build_cols[c];
         dst.insert(dst.end(),
-                   std::make_move_iterator(parts[w][c].begin()),
-                   std::make_move_iterator(parts[w][c].end()));
+                   std::make_move_iterator(parts[w].build_cols[c].begin()),
+                   std::make_move_iterator(parts[w].build_cols[c].end()));
       }
     }
   }
@@ -348,8 +331,7 @@ class ParallelGatherExec : public Executor {
     tree->Init();
     RowBatch b;
     while (!ctx_->Failed() && tree->NextBatch(&b)) {
-      AppendBuildRows(&b, state->rk, build->output_cols.size(), ctx_,
-                      &state->build_cols);
+      state->Append(&b, ctx_, ModeledRowBytes(build->output_cols.size()));
     }
     if (ctx_->Failed()) abort_.store(true, std::memory_order_relaxed);
   }

@@ -48,7 +48,7 @@ struct SpillOptions {
 };
 
 /// Resolved spill policy handed to executors via ExecContext (engine-built
-/// from SpillOptions + governor budget; see Database::QueryInternal).
+/// from SpillOptions + governor budget; see ResolveSpill in database.cc).
 struct SpillConfig {
   bool armed = false;
   uint64_t budget_bytes = 0;

@@ -386,6 +386,25 @@ TEST_F(BatchOperatorTest, LimitFallsBackToRowMode) {
   EXPECT_EQ(batch.stats.rows_scanned, 2u);
 }
 
+TEST_F(BatchOperatorTest, LimitOverHashJoinDoesNotReadAhead) {
+  // The hash join under a Limit runs in its row context: it drains the
+  // build side (3 dept rows) and then pulls probe rows one at a time, so
+  // stopping after the first joined row has scanned exactly one emp row.
+  PhysPtr plan = MakeLimitExec(MakeHashJoin(plan::JoinType::kInner, EmpScan(),
+                                            DeptScan(), {0, 1}, {1, 0},
+                                            nullptr),
+                               1);
+  ModeResult row = RunMode(plan, ExecMode::kRow);
+  ModeResult batch = RunMode(plan, ExecMode::kBatch);
+  ASSERT_EQ(row.rows.size(), 1u);
+  ASSERT_EQ(batch.rows.size(), 1u);
+  EXPECT_EQ(batch.stats.rows_scanned, row.stats.rows_scanned);
+  EXPECT_EQ(batch.stats.page_touches, row.stats.page_touches);
+  // No more than the former row-at-a-time hash join read here.
+  EXPECT_LE(row.stats.rows_scanned, 4u);
+  EXPECT_LE(row.stats.page_touches, 4u);
+}
+
 TEST_F(BatchOperatorTest, RowOperatorAboveBatchChildren) {
   // Sort has no batch implementation: it consumes its vectorized child
   // through the batch-to-row adapter, and ExecuteAll drains the row root

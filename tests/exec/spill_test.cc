@@ -1,8 +1,8 @@
 // Spill-to-disk degradation: the SpillFile format round-trips, the
 // external sort produces the exact in-memory ordering (including tie
-// stability) across single- and multi-pass merges, and the grace hash
-// join matches the in-memory hash join's result multiset — all under
-// budgets tiny enough to force heavy spilling.
+// stability) across single- and multi-pass merges, and the spilled hash
+// join matches the in-memory hash join's result multiset in every
+// execution mode — all under budgets tiny enough to force heavy spilling.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -100,6 +100,18 @@ class SpillExecTest : public ::testing::Test {
     }
   }
 
+  /// The first hash join in `plan`, preorder.
+  static const exec::PhysicalPlan* FindHashJoin(
+      const exec::PhysicalPlan* plan) {
+    if (plan == nullptr || plan->kind == exec::PhysOpKind::kHashJoin) {
+      return plan;
+    }
+    for (const exec::PhysPtr& child : plan->children) {
+      if (const exec::PhysicalPlan* j = FindHashJoin(child.get())) return j;
+    }
+    return nullptr;
+  }
+
   Database db_;
 };
 
@@ -137,21 +149,77 @@ TEST_F(SpillExecTest, MultiPassMergeAtTinyFanin) {
 }
 
 TEST_F(SpillExecTest, GraceHashJoinMatchesInMemoryJoin) {
-  const std::string sql =
-      "SELECT t.id, g.label FROM t, g WHERE t.grp = g.gid AND t.id < 2500";
-  QueryResult baseline = Run(sql, {});
-  EXPECT_EQ(baseline.exec_stats.spill_runs, 0u);
+  // u.grp is NULL on every 7th row: NULL probe keys must reach the
+  // left-outer and anti emission from partition 0 of a spilled join.
+  ASSERT_TRUE(
+      db_.Execute("CREATE TABLE u (id INT PRIMARY KEY, grp INT)").ok());
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 2000; ++i) {
+    rows.push_back({Value::Int(i),
+                    i % 7 == 0 ? Value::Null() : Value::Int(i % 19)});
+  }
+  ASSERT_TRUE(db_.BulkLoad("u", std::move(rows)).ok());
+  ASSERT_TRUE(db_.AnalyzeAll().ok());
+  for (const char* sql : {
+           "SELECT t.id, g.label FROM t, g WHERE t.grp = g.gid AND t.id < 2500",
+           "SELECT u.id, g.label FROM u LEFT JOIN g ON u.grp = g.gid",
+           "SELECT u.id FROM u WHERE NOT EXISTS "
+           "(SELECT g.gid FROM g WHERE g.gid = u.grp)",
+           "SELECT u.id, g.label FROM u LEFT JOIN g "
+           "ON u.grp = g.gid AND u.id > g.gid * 50",
+       }) {
+    SCOPED_TRACE(sql);
+    QueryResult baseline = Run(sql, {});
+    EXPECT_EQ(baseline.exec_stats.spill_runs, 0u);
+    for (exec::ExecMode mode : {exec::ExecMode::kRow, exec::ExecMode::kBatch,
+                                exec::ExecMode::kParallel}) {
+      QueryOptions opts;
+      opts.execution_mode = mode;
+      opts.dop = 4;
+      opts.spill.operator_budget_bytes = 256;
+      opts.spill.partitions = 4;
+      QueryResult spilled = Run(sql, opts);
+      // Build + probe partition files all count as spill runs.
+      EXPECT_GT(spilled.exec_stats.spill_runs, 0u);
+      // Grace output order is partition-major, not probe order: compare as
+      // multisets.
+      testing::ExpectSameRows(spilled.rows, baseline.rows);
+    }
+  }
+}
+
+TEST_F(SpillExecTest, SpilledJoinPeakMemoryIsItsLargestPartition) {
+  // A spilled join holds the pre-spill buffer or one partition's build
+  // rows at a time, never the whole build side.
+  for (const char* table : {"v", "w"}) {
+    ASSERT_TRUE(db_.Execute(std::string("CREATE TABLE ") + table +
+                            " (k INT, x INT)")
+                    .ok());
+    std::vector<Row> rows;
+    for (int64_t i = 0; i < 3000; ++i) {
+      rows.push_back({Value::Int(i), Value::Int(i % 13)});
+    }
+    ASSERT_TRUE(db_.BulkLoad(table, std::move(rows)).ok());
+  }
+  ASSERT_TRUE(db_.AnalyzeAll().ok());
+  const std::string sql = "SELECT v.k, w.x FROM v, w WHERE v.k = w.k";
   for (exec::ExecMode mode : {exec::ExecMode::kRow, exec::ExecMode::kBatch}) {
     QueryOptions opts;
     opts.execution_mode = mode;
-    opts.spill.operator_budget_bytes = 1024;
-    opts.spill.partitions = 4;
+    opts.analyze = true;
+    QueryResult unbounded = Run(sql, opts);
+    opts.spill.operator_budget_bytes = 16 * 1024;
     QueryResult spilled = Run(sql, opts);
-    // Build + probe partition files all count as spill runs.
     EXPECT_GT(spilled.exec_stats.spill_runs, 0u);
-    // Grace output order is partition-major, not probe order: compare as
-    // multisets.
-    testing::ExpectSameRows(spilled.rows, baseline.rows);
+    testing::ExpectSameRows(spilled.rows, unbounded.rows);
+    const exec::PhysicalPlan* join = FindHashJoin(spilled.analyzed_plan.get());
+    ASSERT_NE(join, nullptr);
+    const uint64_t spilled_peak = spilled.op_stats.at(join).peak_mem_bytes;
+    const uint64_t unbounded_peak =
+        unbounded.op_stats.at(FindHashJoin(unbounded.analyzed_plan.get()))
+            .peak_mem_bytes;
+    EXPECT_GT(spilled_peak, 0u);
+    EXPECT_LT(spilled_peak, unbounded_peak);
   }
 }
 
@@ -209,6 +277,23 @@ TEST_F(SpillExecTest, ExplainAnalyzeShowsSpillAnnotation) {
   ASSERT_TRUE(text.ok());
   EXPECT_NE(text.value().find("[spill: "), std::string::npos)
       << text.value();
+}
+
+TEST_F(SpillExecTest, ExplainAnalyzeShowsSpilledBatchJoin) {
+  // Arming spill changes how the hash join runs, never which engine: the
+  // spilled join is still the vectorized one.
+  QueryOptions opts;
+  opts.execution_mode = exec::ExecMode::kBatch;
+  opts.spill.operator_budget_bytes = 256;
+  auto text = db_.ExplainAnalyze(
+      "SELECT t.id, g.label FROM t, g WHERE t.grp = g.gid", opts);
+  ASSERT_TRUE(text.ok());
+  const std::string& out = text.value();
+  size_t at = out.find("HashJoin");
+  ASSERT_NE(at, std::string::npos) << out;
+  const std::string line = out.substr(at, out.find('\n', at) - at);
+  EXPECT_NE(line.find("[batch]"), std::string::npos) << line;
+  EXPECT_NE(line.find("[spill: "), std::string::npos) << line;
 }
 
 TEST_F(SpillExecTest, MetricsCountSpills) {
